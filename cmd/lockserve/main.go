@@ -67,7 +67,7 @@ func main() {
 		drainGrace = flag.Duration("drain-grace", 2*time.Second, "graceful-drain window on SIGINT/SIGTERM: live leases get this long to release before revocation (0 = immediate close)")
 		idleConn   = flag.Duration("idle-timeout", 2*time.Minute, "reap connections idle this long (half-open peers included; 0 = never)")
 		retryAfter = flag.Duration("retry-after", 2*time.Millisecond, "retry-after hint attached to wire-v2 shed-class refusals (0 = no hint)")
-		flushDelay = flag.Duration("flush-delay", 0, "hold each connection's response socket up to this long to coalesce frames into one write syscall (0 = write through)")
+		flushDelay = flag.Duration("flush-delay", 0, "hold each connection's response socket up to this long to coalesce frames into one write syscall (0 = self-clocked coalescing: flush when no other frame on the connection is imminent)")
 		window     = flag.Int("window", service.DefaultWindow, "max concurrently-executing pipelined (wire v3) requests per connection")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 		statsDump  = flag.Bool("stats", true, "print a JSON counter snapshot to stderr on shutdown")

@@ -29,7 +29,8 @@ type ThroughputConfig struct {
 	// one-in-flight baseline (no pipelining at all).
 	Window int `json:"window"`
 	// FlushDelay is the write-coalescing hold applied on BOTH ends
-	// (0 = write through).
+	// (0 = self-clocked coalescing: flush when no other frame on the
+	// connection is imminent).
 	FlushDelay time.Duration `json:"flush_delay_ns"`
 	// OpsPerClient is the acquire+release pairs each connection issues;
 	// the op schedule is seed-deterministic even though timing is not.

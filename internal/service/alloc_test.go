@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -144,5 +145,40 @@ func TestPipelinedOpAllocs(t *testing.T) {
 	const budget = 40 // measured ~12 for acquire+release; headroom for scheduler noise
 	if n > budget {
 		t.Errorf("pipelined acquire+release allocates %.1f/op, budget %d", n, budget)
+	}
+}
+
+// TestCoreOpAllocs pins the in-process service core at zero
+// steady-state allocations for an uncontended acquire+release pair:
+// lease records and resource entries are recycled per shard and the
+// expiry heap is typed, so nothing is boxed or re-created per lease.
+func TestCoreOpAllocs(t *testing.T) {
+	s, err := New(Config{NoSweeper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("res-%d", i)
+	}
+	pair := func(name string) {
+		lease, err := s.Acquire(name, "owner-alloc", AcquireOptions{TTL: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReleaseFenced(name, lease.Token, lease.Fence); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names { // warm up every shard's free lists
+		pair(name)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(500, func() {
+		pair(names[i%len(names)])
+		i++
+	}); n != 0 {
+		t.Errorf("core acquire+release allocates %.1f/op, want 0", n)
 	}
 }

@@ -129,10 +129,13 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 
 // Pipeline switches the client to pipelined mode: wire v3 frames, up to
 // `window` requests in flight at once on the one connection (0 =
-// DefaultWindow), responses demultiplexed by request ID. flushDelay > 0
-// additionally coalesces request frames — the socket is held up to that
-// long so concurrent ops' frames batch into one write syscall (the
-// delay-insertion trade: p50 for throughput). Pipeline must be called
+// DefaultWindow), responses demultiplexed by request ID. Request frames
+// are coalesced: with flushDelay 0, ops that send while another op's
+// write is in progress share the next syscall, and the writer waits
+// for a frame only while another op holds a window slot; flushDelay > 0
+// additionally holds the socket up to that long so concurrent ops'
+// frames batch into one write syscall (the delay-insertion trade: p50
+// for throughput). Pipeline must be called
 // before the client is shared across goroutines and cannot be undone on
 // this connection.
 func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
@@ -158,6 +161,8 @@ func (c *Client) Pipeline(window int, flushDelay time.Duration) error {
 		pending: make(map[uint64]pendingOp),
 		stopc:   make(chan struct{}),
 	}
+	// Another op holding a window slot is about to send its frame.
+	pl.fw.imminent = func() bool { return len(pl.sem) > 1 }
 	c.pl.Store(pl)
 	go pl.readLoop(c.br)
 	go pl.watchdog()

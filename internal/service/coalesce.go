@@ -3,21 +3,37 @@ package service
 import (
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
 
-// flushWriter is the delay-inserted write coalescer: frames written
-// while the flusher is holding the socket are batched into one Write
-// syscall. The delay is the paper's move applied to the transmit path —
-// deliberately NOT sending for up to `delay` raises throughput (fewer
-// syscalls, fuller packets) at a bounded cost to p50 latency. A delay
-// of zero writes through immediately, reproducing the uncoalesced
-// behavior byte for byte.
+// flushWriter is the write coalescer: frames that arrive while a write
+// is in progress are batched into the next Write syscall, never
+// interleaved.
 //
-// Concurrent WriteFrame calls are safe; each frame is written whole
-// (never interleaved). Buffered bytes are flushed by Close, so a frame
-// accepted before Close is never dropped by the coalescer itself.
+// With delay > 0 it is the delay-inserted coalescer: a flusher
+// goroutine holds the socket for up to `delay` after the first frame of
+// a batch — the paper's move applied to the transmit path, deliberately
+// NOT sending for a while to raise throughput (fewer syscalls, fuller
+// packets) at a bounded cost to p50 latency.
+//
+// With delay 0 it is self-clocked (group commit): the WriteFrame that
+// finds no write in progress becomes the leader and writes the buffer
+// until it is empty; frames arriving meanwhile are appended by
+// followers, which return at once. The leader yields the processor
+// once before its first write, but only when imminent reports that
+// another frame on this connection is about to be produced, so frames
+// from producers that are already runnable join the batch. The write
+// itself is the inserted delay, and its length is set by the load: a
+// lock-step connection (nothing else imminent) writes through, frame
+// by frame, exactly as without coalescing.
+//
+// Concurrent WriteFrame calls are safe. A frame accepted before Close
+// is never dropped by the coalescer itself: Close waits for an
+// in-flight leader (delay 0) or makes the flusher's final flush
+// (delay > 0). A follower learns of a failed write from the sticky
+// error on its next WriteFrame.
 //
 // Memory stays bounded without an explicit cap because every producer
 // is window-limited: a server connection has at most `window` worker
@@ -26,12 +42,18 @@ import (
 type flushWriter struct {
 	w     io.Writer
 	delay time.Duration
+	// imminent, when set, reports whether another frame on this
+	// connection is about to be written; a delay-0 leader yields once
+	// before writing only if it does. Set before first use.
+	imminent func() bool
 
-	mu     sync.Mutex
-	buf    []byte // frames accepted since the last flush
-	spare  []byte // the previous flush's buffer, recycled
-	err    error  // first write error, sticky
-	closed bool
+	mu      sync.Mutex
+	buf     []byte // frames accepted since the last flush
+	spare   []byte // the previous flush's buffer, recycled
+	err     error  // first write error, sticky
+	closed  bool
+	writing bool       // delay 0: a leader owns the socket
+	idle    *sync.Cond // delay 0: signalled when the leader finishes
 
 	kick   chan struct{} // first-frame-since-flush signal, cap 1
 	urgent chan struct{} // size-threshold reached: flush without finishing the delay, cap 1
@@ -49,8 +71,8 @@ const coalesceThreshold = 8 << 10
 // goroutine, which Close stops.
 func newFlushWriter(w io.Writer, delay time.Duration) *flushWriter {
 	fw := &flushWriter{
-		w:     w,
-		delay: delay,
+		w:      w,
+		delay:  delay,
 		buf:    make([]byte, 0, 2048),
 		spare:  make([]byte, 0, 2048),
 		kick:   make(chan struct{}, 1),
@@ -58,6 +80,7 @@ func newFlushWriter(w io.Writer, delay time.Duration) *flushWriter {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	fw.idle = sync.NewCond(&fw.mu)
 	if delay > 0 {
 		go fw.loop()
 	} else {
@@ -66,7 +89,9 @@ func newFlushWriter(w io.Writer, delay time.Duration) *flushWriter {
 	return fw
 }
 
-// WriteFrame queues (or, with no delay, writes) one whole frame.
+// WriteFrame writes one whole frame: it queues it for the flusher
+// (delay > 0), appends it to the leader's batch (delay 0, a write in
+// progress), or becomes the leader and writes it (delay 0, idle).
 func (fw *flushWriter) WriteFrame(frame []byte) error {
 	fw.mu.Lock()
 	if fw.err != nil {
@@ -79,12 +104,26 @@ func (fw *flushWriter) WriteFrame(frame []byte) error {
 		return net.ErrClosed
 	}
 	if fw.delay <= 0 {
-		// Write-through: the mutex alone serializes writers on the socket.
-		_, err := fw.w.Write(frame)
-		if err != nil {
-			fw.err = err
+		fw.buf = append(fw.buf, frame...)
+		if fw.writing {
+			fw.mu.Unlock()
+			return nil // follower: the leader's loop writes it
 		}
+		fw.writing = true
 		fw.mu.Unlock()
+		if fw.imminent != nil && fw.imminent() {
+			// Let producers that are already runnable append first, so
+			// the frames they are about to write share this syscall.
+			runtime.Gosched()
+		}
+		fw.mu.Lock()
+		for len(fw.buf) > 0 && fw.err == nil {
+			fw.writeLocked()
+		}
+		fw.writing = false
+		err := fw.err
+		fw.mu.Unlock()
+		fw.idle.Broadcast()
 		return err
 	}
 	wasEmpty := len(fw.buf) == 0
@@ -148,15 +187,20 @@ func (fw *flushWriter) loop() {
 	}
 }
 
-// flush writes the pending buffer. Only the flusher goroutine calls it,
-// so the socket write happens outside the mutex and producers keep
-// appending to the swapped-in spare buffer meanwhile.
+// flush writes the pending buffer. Only the flusher goroutine calls it.
 func (fw *flushWriter) flush() {
 	fw.mu.Lock()
-	if len(fw.buf) == 0 || fw.err != nil {
-		fw.mu.Unlock()
-		return
+	if len(fw.buf) > 0 && fw.err == nil {
+		fw.writeLocked()
 	}
+	fw.mu.Unlock()
+}
+
+// writeLocked writes the pending buffer in one syscall. The caller owns
+// the socket (the delay-0 leader or the flusher) and holds mu; the
+// write happens outside the mutex, so producers keep appending to the
+// swapped-in spare buffer meanwhile.
+func (fw *flushWriter) writeLocked() {
 	out := fw.buf
 	fw.buf = fw.spare[:0]
 	fw.mu.Unlock()
@@ -166,7 +210,6 @@ func (fw *flushWriter) flush() {
 	if err != nil && fw.err == nil {
 		fw.err = err
 	}
-	fw.mu.Unlock()
 }
 
 // Err reports the sticky first write error.
@@ -176,10 +219,14 @@ func (fw *flushWriter) Err() error {
 	return fw.err
 }
 
-// Close stops the flusher after a final flush of anything buffered.
-// Idempotent; returns the sticky write error, if any.
+// Close waits for an in-flight leader (delay 0) or stops the flusher
+// after a final flush of anything buffered (delay > 0). Idempotent;
+// returns the sticky write error, if any.
 func (fw *flushWriter) Close() error {
 	fw.mu.Lock()
+	for fw.writing {
+		fw.idle.Wait()
+	}
 	if fw.closed {
 		fw.mu.Unlock()
 		<-fw.done

@@ -203,6 +203,63 @@ func TestMigrationBroadcastToHandoff(t *testing.T) {
 	testMigrationMidWait(t, PolicyBroadcast, PolicyHandoff)
 }
 
+// TestMigrationNoPhantomGrant forces the interleaving in which a woken
+// broadcast waiter loses its lease before it re-contends: the waiter
+// has consumed its retry wake-up, MigrateShard(→handoff) re-dispatches
+// and grants it lease N through its grant buffer, and Revoke takes
+// lease N — all before the waiter's claim takes the shard guard. The
+// waiter must return lease N (revoked), not mint a lease N+1 that no
+// revoke or release could ever account for.
+func TestMigrationNoPhantomGrant(t *testing.T) {
+	s, err := New(Config{Shards: 1, Policy: PolicyBroadcast, QueueDepth: 8, NoSweeper: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hold, err := s.Acquire("r", "holder", AcquireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	revoked := make(chan Lease, 1)
+	var once sync.Once
+	s.beforeClaim = func() {
+		once.Do(func() {
+			if err := s.MigrateShard(0, PolicyHandoff); err != nil {
+				t.Errorf("migrate: %v", err)
+			}
+			l, ok, err := s.Revoke("r")
+			if err != nil || !ok {
+				t.Errorf("revoke: ok=%v err=%v", ok, err)
+			}
+			revoked <- l
+		})
+	}
+	got := make(chan Lease, 1)
+	go func() {
+		l, err := s.Acquire("r", "waiter", AcquireOptions{Wait: true})
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		got <- l
+	}()
+	waitQueued(t, s, "r", 1)
+	if err := s.Release("r", hold.Token); err != nil { // broadcast: wake the waiter
+		t.Fatal(err)
+	}
+	l := <-got
+	rev := <-revoked
+	if l.Token != rev.Token {
+		t.Fatalf("waiter returned token %d, but the revoke took its lease %d: phantom grant", l.Token, rev.Token)
+	}
+	if err := s.Release("r", l.Token); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("release of the revoked lease: %v, want ErrRevoked", err)
+	}
+	checkConservation(t, s, "final")
+	if snap := s.Snapshot(); snap.Totals.Grants != 2 || snap.LiveLeases != 0 {
+		t.Fatalf("grants=%d live=%d, want 2 and 0", snap.Totals.Grants, snap.LiveLeases)
+	}
+}
+
 func testMigrationMidWait(t *testing.T, from, to Policy) {
 	s, err := New(Config{Shards: 1, Policy: from, QueueDepth: 8, NoSweeper: true})
 	if err != nil {

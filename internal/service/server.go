@@ -2,9 +2,11 @@ package service
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,7 +41,9 @@ type ServerOptions struct {
 	// FlushDelay, when positive, holds each connection's response socket
 	// for up to this long so frames completing close together batch into
 	// one write syscall — delay-inserted write coalescing, the paper's
-	// throughput-for-p50 trade made explicit (0 = write through).
+	// throughput-for-p50 trade made explicit (0 = self-clocked
+	// coalescing: flush when no other frame on the connection is
+	// imminent; a lock-step connection writes through).
 	FlushDelay time.Duration
 	// Window caps the concurrently-executing pipelined (wire v3)
 	// requests per connection; once the window is full the connection's
@@ -179,7 +183,7 @@ func (s *Server) dropConn(conn net.Conn) {
 // by the read deadline instead of pinning the goroutine forever.
 //
 // v1/v2 frames dispatch serially in-line, preserving the strict
-// one-in-flight discipline those clients rely on. The first v3 frame
+// one-in-flight discipline those clients rely on. The first v3 acquire
 // lazily starts the connection's pipeline: a fixed pool of `window`
 // workers fed by a window-deep channel, so at most `window` requests
 // execute concurrently and at most another window sit decoded awaiting
@@ -188,6 +192,12 @@ func (s *Server) dropConn(conn net.Conn) {
 // decoding while workers run instead of stalling on a synchronous
 // goroutine hand-off per frame. Responses leave through the shared
 // flushWriter in completion order; request IDs let the client reorder.
+//
+// Responses the read loop produces itself are batched while it still
+// holds a whole undecoded frame, and handed to the flushWriter in one
+// piece before it would block on the socket (or on a full window): the
+// read loop never stops decoding to write a frame it can send along
+// with the next one.
 func (s *Server) serveConn(conn net.Conn) {
 	dec := NewDecoder()
 	// 32 KiB: coalesced peers deliver multi-frame batches (up to the
@@ -195,6 +205,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	// and the reader should swallow a batch in one syscall.
 	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFlushWriter(conn, s.opt.FlushDelay)
+	// producing counts the goroutines with a response still to hand to
+	// fw — a worker per decoded acquire, plus the read loop while its
+	// batch is non-empty — and inputBuffered says the read loop holds
+	// another whole request. Either makes a response from someone other
+	// than the writer imminent, which is when a zero-delay leader waits
+	// for it (see flushWriter). A lock-step connection has neither, so
+	// it writes through.
+	var producing atomic.Int64
+	var inputBuffered atomic.Bool
+	fw.imminent = func() bool { return producing.Load() > 1 || inputBuffered.Load() }
+	var batch []byte // the read loop's responses not yet handed to fw
+	flushBatch := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		err := fw.WriteFrame(batch)
+		batch = batch[:0]
+		producing.Add(-1)
+		return err
+	}
 	var pl *connPipeline
 	defer func() {
 		if pl != nil {
@@ -203,7 +233,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		fw.Close()
 		s.dropConn(conn)
 	}()
-	var scratch []byte
 	for {
 		if s.opt.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opt.IdleTimeout))
@@ -215,48 +244,62 @@ func (s *Server) serveConn(conn net.Conn) {
 				// Malformed frames are version-ambiguous; answer in v1,
 				// which every client decodes.
 				resp := Response{Op: OpError, Code: CodeBadFrame, Msg: werr.Msg}
-				if out, eerr := AppendResponse(scratch[:0], resp); eerr == nil {
-					fw.WriteFrame(out)
+				if out, eerr := AppendResponse(batch, resp); eerr == nil {
+					batch = out
 				}
 			}
+			flushBatch()
 			return // EOF, closed socket, idle deadline, or malformed frame
 		}
-		if req.Version == WireVersion3 {
+		if req.Version == WireVersion3 && req.Op == OpAcquire {
 			// Acquires can park in an admission queue, so they run on the
 			// window's worker pool. Everything else (release, resume, ping)
 			// only ever takes a shard lock briefly — dispatching those
 			// inline on the read loop skips a goroutine hand-off per op,
 			// which at pipelined rates is a top-line scheduler cost on few
 			// cores. Responses interleave by ID, so ordering is free.
-			if req.Op == OpAcquire {
-				if pl == nil {
-					pl = s.startPipeline(conn, fw)
-				}
-				pl.submit(req)
-				continue
+			if pl == nil {
+				pl = s.startPipeline(conn, fw, &producing)
 			}
+			producing.Add(1)
+			select {
+			case pl.reqs <- req:
+			default:
+				// The window is full: answer what is batched before
+				// blocking on it.
+				if flushBatch() != nil {
+					return
+				}
+				pl.reqs <- req
+			}
+		} else {
 			resp := s.dispatch(req)
 			resp.ID = req.ID
-			out, err := AppendResponse(scratch[:0], resp)
+			if len(batch) == 0 {
+				producing.Add(1)
+			}
+			out, err := AppendResponse(batch, resp)
 			if err != nil {
 				return
 			}
-			scratch = out
-			if err := fw.WriteFrame(out); err != nil {
-				return
-			}
-			continue
+			batch = out
 		}
-		resp := s.dispatch(req)
-		out, err := AppendResponse(scratch[:0], resp)
-		if err != nil {
-			return
-		}
-		scratch = out
-		if err := fw.WriteFrame(out); err != nil {
+		more := wholeFrameBuffered(br)
+		inputBuffered.Store(more)
+		if !more && flushBatch() != nil {
 			return
 		}
 	}
+}
+
+// wholeFrameBuffered reports whether br holds a complete frame, so
+// decoding it will not block on the socket.
+func wholeFrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < wireHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(wireHeaderLen)
+	return br.Buffered() >= wireHeaderLen+int(binary.BigEndian.Uint16(hdr[2:]))
 }
 
 // connPipeline is one connection's v3 worker pool.
@@ -270,7 +313,7 @@ type connPipeline struct {
 // from the service's shards, so workers for different resources really
 // do proceed concurrently while workers queued on one hot resource wait
 // in its shard's admission queue like any other waiter.
-func (s *Server) startPipeline(conn net.Conn, fw *flushWriter) *connPipeline {
+func (s *Server) startPipeline(conn net.Conn, fw *flushWriter, producing *atomic.Int64) *connPipeline {
 	window := s.opt.Window
 	if window <= 0 {
 		window = DefaultWindow
@@ -284,32 +327,26 @@ func (s *Server) startPipeline(conn net.Conn, fw *flushWriter) *connPipeline {
 			failed := false
 			for req := range pl.reqs {
 				if failed {
-					continue // drain so submit never blocks without receivers
+					producing.Add(-1)
+					continue // drain so the read loop never blocks without receivers
 				}
 				resp := s.dispatch(req)
 				resp.ID = req.ID
 				out, err := AppendResponse(scratch[:0], resp)
+				if err == nil {
+					scratch = out
+					err = fw.WriteFrame(out)
+				}
+				producing.Add(-1)
 				if err != nil {
 					failed = true
 					conn.Close()
-					continue
-				}
-				scratch = out
-				if err := fw.WriteFrame(out); err != nil {
-					failed = true
-					conn.Close()
-					continue
 				}
 			}
 		}()
 	}
 	return pl
 }
-
-// submit hands one request to the worker pool, blocking once the
-// window's worth of decoded requests is already waiting — bounded
-// buffering, then backpressure.
-func (pl *connPipeline) submit(req Request) { pl.reqs <- req }
 
 // stop ends intake and waits for in-flight dispatches to finish.
 func (pl *connPipeline) stop() {

@@ -35,7 +35,6 @@
 package service
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -226,10 +225,14 @@ type waiter struct {
 	flushErr error
 }
 
-// leaseState is the shard's record of a live lease.
+// leaseState is the shard's record of a live lease. It is also the
+// lease's entry in the shard's expiry heap, so ending a lease removes
+// its entry directly and the heap holds exactly the live leases.
 type leaseState struct {
 	lease     Lease
 	grantedAt time.Time
+	deadline  int64 // lease.Deadline in UnixNano: the heap key
+	idx       int   // position in the shard's expiry heap
 }
 
 // resource is one named resource's state within a shard.
@@ -239,21 +242,64 @@ type resource struct {
 	q      []*waiter // FIFO admission order
 }
 
-// heapEntry schedules one lease's expiry; entries are lazily invalidated
-// by token comparison, so releases never search the heap.
-type heapEntry struct {
-	deadline int64 // UnixNano
-	token    uint64
-	res      string
+// leaseHeap is a min-heap of live leases by deadline. Each entry
+// tracks its own index, so a release or revocation removes its lease in
+// O(log n) instead of leaving a stale entry behind to be skipped at
+// expiry.
+type leaseHeap []*leaseState
+
+func (h *leaseHeap) push(ls *leaseState) {
+	ls.idx = len(*h)
+	*h = append(*h, ls)
+	h.up(ls.idx)
 }
 
-type leaseHeap []heapEntry
+// remove deletes the entry at index i.
+func (h *leaseHeap) remove(i int) {
+	old := *h
+	last := len(old) - 1
+	old.swap(i, last)
+	old[last] = nil
+	*h = old[:last]
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
+}
 
-func (h leaseHeap) Len() int           { return len(h) }
-func (h leaseHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h leaseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x any)        { *h = append(*h, x.(heapEntry)) }
-func (h *leaseHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h leaseHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].deadline <= h[i].deadline {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h leaseHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].deadline < h[c].deadline {
+			c = r
+		}
+		if h[i].deadline <= h[c].deadline {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+func (h leaseHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
 
 // goneRingSize bounds each shard's memory of ended tokens (expired or
 // revoked), which types late releases.
@@ -294,7 +340,9 @@ type shard struct {
 	armedAt time.Time
 	res     map[string]*resource
 	queued  int
-	heap    leaseHeap
+	heap    leaseHeap        // live leases by deadline; len(heap) == live
+	free    []*leaseState    // ended lease records, reused by newLeaseLocked
+	idle    []*resource      // collected resource entries, reused by resourceLocked
 	gone    map[uint64]error // token → ErrLeaseExpired / ErrRevoked
 	// fences holds each resource's monotonic grant counter. Entries
 	// deliberately outlive the resource's res entry (never deleted), so
@@ -393,20 +441,45 @@ func (sh *shard) rememberGone(token uint64, cause error) {
 	sh.gone[token] = cause
 }
 
+// endLeaseLocked ends r's live lease: its expiry entry leaves the heap,
+// the resource is free, and, when cause is non-nil, a late release of
+// its token is typed with cause. It returns the ended lease.
+func (sh *shard) endLeaseLocked(r *resource, cause error) Lease {
+	ls := r.holder
+	sh.heap.remove(ls.idx)
+	r.holder = nil
+	sh.live--
+	lease := ls.lease
+	if cause != nil {
+		sh.rememberGone(lease.Token, cause)
+	}
+	*ls = leaseState{}
+	sh.free = append(sh.free, ls)
+	return lease
+}
+
 // resourceLocked returns (creating if needed) the named resource.
 func (sh *shard) resourceLocked(name string) *resource {
 	r := sh.res[name]
 	if r == nil {
-		r = &resource{name: name}
+		if n := len(sh.idle); n > 0 {
+			r = sh.idle[n-1]
+			sh.idle = sh.idle[:n-1]
+		} else {
+			r = new(resource)
+		}
+		*r = resource{name: name}
 		sh.res[name] = r
 	}
 	return r
 }
 
-// gcLocked drops an idle resource entry.
+// gcLocked drops an idle resource entry and keeps it for reuse, so the
+// caller must not touch r afterwards.
 func (sh *shard) gcLocked(r *resource) {
 	if r.holder == nil && len(r.q) == 0 {
 		delete(sh.res, r.name)
+		sh.idle = append(sh.idle, r)
 	}
 }
 
@@ -474,6 +547,11 @@ type Service struct {
 	// see them in a consistent order without any shard lock held.
 	cbMu    sync.Mutex
 	cbQueue []func()
+
+	// beforeClaim, when set, runs at the start of every broadcast
+	// re-contention step, before the shard guard is taken. Only
+	// in-package tests set it, to force an interleaving there.
+	beforeClaim func()
 }
 
 // New builds a service and, unless NoSweeper, starts its expiry sweeper.
@@ -583,8 +661,16 @@ func (s *Service) newLeaseLocked(sh *shard, r *resource, owner string, now time.
 		Fence:    sh.fences[r.name],
 		Deadline: now.Add(ttl),
 	}
-	r.holder = &leaseState{lease: lease, grantedAt: now}
-	heap.Push(&sh.heap, heapEntry{deadline: lease.Deadline.UnixNano(), token: lease.Token, res: r.name})
+	var ls *leaseState
+	if n := len(sh.free); n > 0 {
+		ls = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+	} else {
+		ls = new(leaseState)
+	}
+	*ls = leaseState{lease: lease, grantedAt: now, deadline: lease.Deadline.UnixNano()}
+	r.holder = ls
+	sh.heap.push(ls)
 	sh.live++
 	sh.counters.Grants++
 	return lease
@@ -629,7 +715,7 @@ func (s *Service) grantNextLocked(sh *shard, r *resource, now time.Time) {
 		sh.counters.Handoffs++
 		sh.grantWait.Add(uint64(now.Sub(w.enq)))
 		if s.cfg.brokenHandoff {
-			r.holder = nil // seeded bug: the transfer is "forgotten"
+			sh.endLeaseLocked(r, nil) // seeded bug: the transfer is "forgotten"
 		}
 		w.grant <- grantResult{lease: lease}
 		return
@@ -644,17 +730,9 @@ func (s *Service) expireDueLocked(sh *shard, now time.Time) []Lease {
 	var out []Lease
 	nowNS := now.UnixNano()
 	for len(sh.heap) > 0 && sh.heap[0].deadline <= nowNS {
-		e := heap.Pop(&sh.heap).(heapEntry)
-		r := sh.res[e.res]
-		if r == nil || r.holder == nil || r.holder.lease.Token != e.token {
-			continue // stale entry: the lease was released or revoked
-		}
-		lease := r.holder.lease
-		r.holder = nil
-		sh.live--
-		sh.rememberGone(e.token, ErrLeaseExpired)
+		r := sh.res[sh.heap[0].lease.Resource]
+		out = append(out, sh.endLeaseLocked(r, ErrLeaseExpired))
 		sh.counters.Expiries++
-		out = append(out, lease)
 		s.grantNextLocked(sh, r, now)
 	}
 	return out
@@ -739,20 +817,25 @@ func (s *Service) Acquire(resourceName, owner string, opt AcquireOptions) (Lease
 	}
 
 	w := &waiter{owner: owner, ttl: ttl, enq: now, grant: make(chan grantResult, 1)}
+	// MaxWait counts from enqueue: the timer is armed before the waiter
+	// becomes visible in the queue, so no clock step can fall between.
+	var timer Timer
+	if opt.MaxWait > 0 {
+		timer = s.clock.NewTimer(opt.MaxWait)
+	}
 	r.q = append(r.q, w)
 	sh.queued++
 	sh.unlockShard(t)
 	s.queueExpiryCallbacks(expired)
 	s.runCallbacks()
-	return s.await(sh, resourceName, w, opt)
+	return s.await(sh, resourceName, w, timer)
 }
 
-// await parks a queued waiter until grant, flush, or timeout.
-func (s *Service) await(sh *shard, resourceName string, w *waiter, opt AcquireOptions) (Lease, error) {
+// await parks a queued waiter until grant, flush, or timeout (timer,
+// when non-nil, is its MaxWait).
+func (s *Service) await(sh *shard, resourceName string, w *waiter, timer Timer) (Lease, error) {
 	var timeout <-chan time.Time
-	var timer Timer
-	if opt.MaxWait > 0 {
-		timer = s.clock.NewTimer(opt.MaxWait)
+	if timer != nil {
 		timeout = timer.C()
 		defer timer.Stop()
 	}
@@ -784,6 +867,9 @@ func (s *Service) await(sh *shard, resourceName string, w *waiter, opt AcquireOp
 // resource if it is free, otherwise record a wasted wake-up and keep
 // waiting.
 func (s *Service) tryClaim(sh *shard, resourceName string, w *waiter) (Lease, bool, error) {
+	if s.beforeClaim != nil {
+		s.beforeClaim()
+	}
 	now := s.clock.Now()
 	t := sh.lockShard()
 	if w.flushed {
@@ -797,7 +883,16 @@ func (s *Service) tryClaim(sh *shard, resourceName string, w *waiter) (Lease, bo
 		r = sh.resourceLocked(resourceName)
 	}
 	if r.holder == nil {
-		removeWaiter(sh, r, w)
+		if !removeWaiter(sh, r, w) {
+			// Already dequeued: a re-dispatch (MigrateShard →handoff)
+			// granted this waiter a lease through its grant buffer, and
+			// that lease has ended since. Minting another would grant a
+			// lease no acquire returns; await consumes the buffered one,
+			// as abandonWait does.
+			sh.gcLocked(r)
+			sh.unlockShard(t)
+			return Lease{}, false, nil
+		}
 		lease := s.newLeaseLocked(sh, r, w.owner, now, w.ttl)
 		sh.counters.BroadcastClaims++
 		sh.grantWait.Add(uint64(now.Sub(w.enq)))
@@ -907,8 +1002,7 @@ func (s *Service) release(resourceName string, token, fence uint64) error {
 	default:
 		sh.counters.Releases++
 		sh.hold.Add(uint64(now.Sub(r.holder.grantedAt)))
-		r.holder = nil
-		sh.live--
+		sh.endLeaseLocked(r, nil)
 		s.grantNextLocked(sh, r, now)
 	}
 	sh.unlockShard(t)
@@ -985,10 +1079,7 @@ func (s *Service) Revoke(resourceName string) (Lease, bool, error) {
 		s.runCallbacks()
 		return Lease{}, false, nil
 	}
-	lease := r.holder.lease
-	r.holder = nil
-	sh.live--
-	sh.rememberGone(lease.Token, ErrRevoked)
+	lease := sh.endLeaseLocked(r, ErrRevoked)
 	sh.counters.Revocations++
 	s.grantNextLocked(sh, r, now)
 	sh.unlockShard(t)
@@ -1122,10 +1213,7 @@ func (s *Service) Drain(grace time.Duration) error {
 			if r.holder == nil {
 				continue
 			}
-			lease := r.holder.lease
-			r.holder = nil
-			sh.live--
-			sh.rememberGone(lease.Token, ErrRevoked)
+			sh.endLeaseLocked(r, ErrRevoked)
 			sh.counters.Revocations++
 			sh.gcLocked(r)
 		}

@@ -417,6 +417,12 @@ func TestDegradedExclusion(t *testing.T) {
 					defer wg.Done()
 					res := fmt.Sprintf("res%d", g%2)
 					for i := 0; i < ops; i++ {
+						if i == ops/2 && g == 0 {
+							// Trip the watchdog mid-hammer. This runs before
+							// the acquire, so a busy acquire cannot skip it.
+							clk.Advance(2 * time.Second)
+							s.SweepExpired()
+						}
 						l, err := s.Acquire(res, "w", AcquireOptions{TTL: time.Minute})
 						if err != nil {
 							continue // busy: fine, we only count held work
@@ -428,11 +434,6 @@ func TestDegradedExclusion(t *testing.T) {
 						if err := s.Release(res, l.Token); err != nil {
 							t.Errorf("release: %v", err)
 							return
-						}
-						if i == ops/2 && g == 0 {
-							// Trip the watchdog mid-hammer.
-							clk.Advance(2 * time.Second)
-							s.SweepExpired()
 						}
 					}
 				}(g)
