@@ -1,7 +1,7 @@
-// Command benchguard is the serving hot path's performance regression
-// gate. It runs the wire microbenchmarks (internal/wirebench) in
-// process via testing.Benchmark and compares them against the committed
-// BENCH_wire.json baseline:
+// Command benchguard is the performance regression gate for the serving
+// hot path and the simulator's event loop. It runs the microbenchmarks
+// of internal/wirebench in process via testing.Benchmark and compares
+// them against the committed BENCH_wire.json baseline:
 //
 //	benchguard -write -o BENCH_wire.json    # refresh the baseline
 //	benchguard -check BENCH_wire.json       # CI: exit 1 on regression
@@ -11,7 +11,8 @@
 // compares that ratio; -tolerance (default 0.20) is the allowed
 // fractional slowdown. Allocation counts are machine-independent and
 // must not rise at all — the codec's 0 allocs/op is part of the wire
-// contract, not a soft target.
+// contract, not a soft target, and the simulator's count is what keeps
+// its event loop allocation-free.
 //
 // Exit codes follow the repo convention: 0 pass, 1 regression or
 // runtime failure, 2 unusable configuration.

@@ -47,7 +47,8 @@ type entry struct {
 // Cache is a set-associative tag/state array with LRU replacement.
 type Cache struct {
 	cfg   Config
-	sets  [][]entry
+	lines []entry // set i is lines[i*ways : (i+1)*ways]
+	ways  int
 	mask  uint64
 	clock uint64
 
@@ -64,19 +65,15 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	n := cfg.Sets()
-	sets := make([][]entry, n)
-	backing := make([]entry, n*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(n - 1)}
+	return &Cache{cfg: cfg, lines: make([]entry, n*cfg.Ways), ways: cfg.Ways, mask: uint64(n - 1)}
 }
 
 // Config returns the geometry the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setFor(line mem.LineID) []entry {
-	return c.sets[uint64(line)&c.mask]
+	i := int(uint64(line)&c.mask) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
 }
 
 func (c *Cache) find(line mem.LineID) *entry {
@@ -193,11 +190,9 @@ func (c *Cache) Install(line mem.LineID, s mem.State) (victim mem.LineID, victim
 // Lines returns all resident lines; used by invariant-checking tests.
 func (c *Cache) Lines() []mem.LineID {
 	var out []mem.LineID
-	for _, set := range c.sets {
-		for _, e := range set {
-			if e.state != mem.Invalid {
-				out = append(out, e.line)
-			}
+	for _, e := range c.lines {
+		if e.state != mem.Invalid {
+			out = append(out, e.line)
 		}
 	}
 	return out

@@ -88,6 +88,8 @@ type Controller struct {
 	timerSeq     uint64
 	acquireStart map[mem.Addr]engine.Time
 
+	completions *engine.Handler[completion]
+
 	st *stats.Node
 }
 
@@ -105,6 +107,7 @@ func newController(id mem.NodeID, f *Fabric, geo CacheGeometry, pol *core.Policy
 		loanedOut:    make(map[mem.LineID]bool),
 		loanWait:     make(map[mem.LineID][]mem.Request),
 		acquireStart: make(map[mem.Addr]engine.Time),
+		completions:  engine.NewHandler(f.eng, deliverCompletion),
 		st:           st,
 	}
 }
@@ -148,9 +151,17 @@ func (c *Controller) traceEv(kind trace.Kind, line mem.LineID, note string) {
 	c.f.rec.Add(trace.Event{At: c.eng.Now(), Kind: kind, Node: c.id, Line: line, Note: note})
 }
 
+// completion is a request's result on its way to the processor.
+type completion struct {
+	req mem.Request
+	res mem.Result
+}
+
+func deliverCompletion(k completion) { k.req.Done(k.res) }
+
 // completeAfter delivers a request's result lat cycles from now.
 func (c *Controller) completeAfter(req mem.Request, res mem.Result, lat engine.Time) {
-	c.eng.After(lat, func(engine.Time) { req.Done(res) })
+	c.completions.After(lat, completion{req, res})
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +526,7 @@ func (c *Controller) snoop(tx interconnect.Tx) {
 			// An Owned chain head losing its copy to an upgrade must pass
 			// its queued duties along; deferred one event so the fabric's
 			// holder register reflects the upgrader first.
-			if len(c.liveDuties(line)) > 0 {
+			if c.hasLiveDuty(line) {
 				c.eng.After(0, func(engine.Time) { c.rerouteOrphanedDuties(line) })
 			}
 		} else if tx.Kind == mem.TxUPGR && state.IsOwner() {
@@ -933,7 +944,7 @@ func (c *Controller) install(line mem.LineID, state mem.State, data mem.LineData
 func (c *Controller) evict(victim mem.LineID, vstate mem.State) {
 	c.resetLinkIfOn(victim)
 	c.l1.Invalidate(victim)
-	if len(c.liveDuties(victim)) > 0 {
+	if c.hasLiveDuty(victim) {
 		c.st.DelayEvictions++
 		c.forwardOwnership(victim, trace.EvTimeout, "eviction")
 		if c.l2.State(victim) != mem.Invalid {
@@ -966,14 +977,24 @@ func (c *Controller) finishEvict(victim mem.LineID, vstate mem.State) {
 	}
 }
 
-func (c *Controller) liveDuties(line mem.LineID) []*duty {
-	var out []*duty
+// appendLiveDuties appends the line's unremoved duties to dst: a snapshot
+// the caller can walk while servicing them edits the queue.
+func (c *Controller) appendLiveDuties(dst []*duty, line mem.LineID) []*duty {
 	for _, d := range c.duties[line] {
 		if !d.removed {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	return out
+	return dst
+}
+
+func (c *Controller) hasLiveDuty(line mem.LineID) bool {
+	for _, d := range c.duties[line] {
+		if !d.removed {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Controller) writeback(line mem.LineID) {
@@ -1014,7 +1035,8 @@ func (c *Controller) processDuties(line mem.LineID) {
 	if !c.l2.State(line).CanRead() {
 		return // data not here yet (owner-elect) or loaned out
 	}
-	for _, d := range c.liveDuties(line) {
+	var buf [8]*duty // on the stack; a longer queue spills to the heap
+	for _, d := range c.appendLiveDuties(buf[:0], line) {
 		if d.delayed {
 			if c.f.lineStuck(line) {
 				continue // injected StuckDelay: nothing ends this delay
@@ -1191,23 +1213,21 @@ func (c *Controller) giveUpLine(line mem.LineID) {
 // duty: the flush path shared by SC completion, lock release, time-out,
 // and eviction.
 func (c *Controller) forwardOwnership(line mem.LineID, ev trace.Kind, note string) {
-	var targets []*duty
-	for _, d := range c.liveDuties(line) {
-		if d.inService {
+	var targets [2]*duty
+	n := 0
+	for _, d := range c.duties[line] {
+		if d.removed || d.inService {
 			continue
 		}
 		if d.tx.Kind == mem.TxLPRFO || d.tx.Kind == mem.TxGETX {
-			targets = append(targets, d)
-			if len(targets) == 2 {
+			targets[n] = d
+			if n++; n == len(targets) {
 				break
 			}
 		}
 	}
-	var target *duty
-	if len(targets) > 0 {
-		target = targets[0]
-	}
-	if len(targets) > 1 && c.f.fireFault(faults.GrantReorder, line) {
+	target := targets[0]
+	if n > 1 && c.f.fireFault(faults.GrantReorder, line) {
 		// Injected fault: the grant jumps the bus-order queue. The
 		// hand-off-order monitor must flag the out-of-order send.
 		target = targets[1]
@@ -1308,6 +1328,8 @@ func (c *Controller) sendTearOff(line mem.LineID, to mem.NodeID) {
 	})
 }
 
+// removeDuty leaves an emptied queue in place, so the line's next duty
+// reuses its array.
 func (c *Controller) removeDuty(line mem.LineID, d *duty) {
 	d.removed = true
 	queue := c.duties[line]
@@ -1316,8 +1338,5 @@ func (c *Controller) removeDuty(line mem.LineID, d *duty) {
 			c.duties[line] = append(queue[:i], queue[i+1:]...)
 			break
 		}
-	}
-	if len(c.duties[line]) == 0 {
-		delete(c.duties, line)
 	}
 }

@@ -8,10 +8,7 @@
 // makes every simulation bit-for-bit reproducible.
 package engine
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is the simulated clock, measured in processor cycles.
 type Time uint64
@@ -25,27 +22,10 @@ type item struct {
 	call Event
 }
 
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(item)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// before orders items by (at, seq). seq is unique, so the order is total
+// and the dispatch order does not depend on the heap's internal layout.
+func (a item) before(b item) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -54,7 +34,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     eventHeap
+	queue     []item // binary min-heap by (at, seq)
 	fired     uint64
 	halted    bool
 	afterStep []func(Time)
@@ -62,7 +42,7 @@ type Engine struct {
 
 // New returns an empty engine with the clock at cycle zero.
 func New() *Engine {
-	return &Engine{queue: make(eventHeap, 0, 1024)}
+	return &Engine{queue: make([]item, 0, 1024)}
 }
 
 // Now reports the current simulated time.
@@ -82,7 +62,56 @@ func (e *Engine) At(at Time, ev Event) {
 		panic(fmt.Sprintf("engine: event scheduled at %d, before now %d", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, item{at: at, seq: e.seq, call: ev})
+	e.push(item{at: at, seq: e.seq, call: ev})
+}
+
+// push sifts it up from the end of the heap, moving each parent down one
+// level instead of swapping.
+func (e *Engine) push(it item) {
+	e.queue = append(e.queue, it)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+}
+
+// pop removes and returns the earliest item. The last item fills the
+// root's hole and sifts down, each smaller child moving up one level.
+func (e *Engine) pop() item {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = item{} // drop the callback so the collector can free it
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // After schedules ev to fire delay cycles from now.
@@ -123,7 +152,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	it := heap.Pop(&e.queue).(item)
+	it := e.pop()
 	e.now = it.at
 	e.fired++
 	it.call(e.now)
@@ -147,4 +176,53 @@ func (e *Engine) Run(limit Time) (end Time, hitLimit bool) {
 		e.Step()
 	}
 	return e.now, false
+}
+
+// Handler schedules calls of one function, each with its own argument,
+// without allocating per call once warm: every pending call rides in a
+// slot from the handler's free list, and each slot's fire method is bound
+// once. A Handler belongs to one engine.
+type Handler[T any] struct {
+	eng  *Engine
+	fn   func(T)
+	free []*slot[T]
+}
+
+type slot[T any] struct {
+	h    *Handler[T]
+	arg  T
+	fire Event
+}
+
+// NewHandler returns a handler that runs fn on eng.
+func NewHandler[T any](eng *Engine, fn func(T)) *Handler[T] {
+	return &Handler[T]{eng: eng, fn: fn}
+}
+
+// At schedules fn(arg) at absolute time at, with At's ordering rules.
+func (h *Handler[T]) At(at Time, arg T) {
+	var s *slot[T]
+	if n := len(h.free); n > 0 {
+		s = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		s = &slot[T]{h: h}
+		s.fire = s.run
+	}
+	s.arg = arg
+	h.eng.At(at, s.fire)
+}
+
+// After schedules fn(arg) delay cycles from now.
+func (h *Handler[T]) After(delay Time, arg T) {
+	h.At(h.eng.now+delay, arg)
+}
+
+// run frees the slot before calling fn, which may schedule again at once.
+func (s *slot[T]) run(Time) {
+	arg := s.arg
+	var zero T
+	s.arg = zero
+	s.h.free = append(s.h.free, s)
+	s.h.fn(arg)
 }

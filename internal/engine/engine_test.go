@@ -184,3 +184,122 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyDispatchOrderWithCascades: seeded random schedules with
+// many same-cycle ties, where firing events schedule further events
+// (some at the current cycle), dispatch in exactly the order of a stable
+// sort of everything scheduled by (time, scheduling order). Scheduling
+// into the past from inside an event still panics.
+func TestPropertyDispatchOrderWithCascades(t *testing.T) {
+	type rec struct {
+		at Time
+		id int
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		var scheduled []rec
+		var fired []int
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			id := len(scheduled)
+			scheduled = append(scheduled, rec{at, id})
+			e.At(at, func(now Time) {
+				if now != at {
+					t.Fatalf("seed %d: event %d for cycle %d fired at %d", seed, id, at, now)
+				}
+				fired = append(fired, id)
+				for k := rng.Intn(4); k > 0 && len(scheduled) < 3000; k-- {
+					schedule(now + Time(rng.Intn(3)))
+				}
+				if now > 0 && rng.Intn(50) == 0 {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("seed %d: scheduling at %d from cycle %d did not panic", seed, now-1, now)
+							}
+						}()
+						e.At(now-1, func(Time) {})
+					}()
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			schedule(Time(rng.Intn(16)))
+		}
+		e.Run(0)
+		want := append([]rec(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d events, scheduled %d", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i].id {
+				t.Fatalf("seed %d: dispatch %d is event %d, want %d", seed, i, fired[i], want[i].id)
+			}
+		}
+	}
+}
+
+type ticker struct {
+	e  *Engine
+	ev Event
+}
+
+func (tk *ticker) tick(Time) { tk.e.After(1, tk.ev) }
+
+// TestEngineStepAllocs: dispatching a pre-bound event that reschedules
+// itself allocates nothing.
+func TestEngineStepAllocs(t *testing.T) {
+	e := New()
+	tk := &ticker{e: e}
+	tk.ev = tk.tick
+	for i := 0; i < 8; i++ {
+		e.At(Time(i), tk.ev)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Step() }); n != 0 {
+		t.Fatalf("Step allocates %.2f/op, want 0", n)
+	}
+}
+
+// TestHandlerRecyclesSlots: a Handler delivers each call's own argument
+// in (time, scheduling order) with plain events, a call may schedule the
+// next one from inside fn, and once warm it allocates nothing.
+func TestHandlerRecyclesSlots(t *testing.T) {
+	e := New()
+	var got []int
+	var h *Handler[int]
+	h = NewHandler(e, func(v int) {
+		got = append(got, v)
+		if v < 3 {
+			h.After(0, v+1) // reuses the slot this call just freed
+		}
+	})
+	h.At(5, 0)
+	e.At(5, func(Time) { got = append(got, -1) })
+	h.At(5, 10)
+	e.Run(0)
+	want := []int{0, -1, 10, 1, 2, 3}
+	if len(got) != len(want) {
+		t.Fatalf("calls = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("calls = %v, want %v", got, want)
+		}
+	}
+	if len(h.free) != 2 {
+		t.Fatalf("%d free slots after draining, want 2 (the peak in flight)", len(h.free))
+	}
+
+	var sink int
+	tick := NewHandler(e, func(v int) { sink += v })
+	tick.After(1, 1)
+	e.Step()
+	if n := testing.AllocsPerRun(1000, func() {
+		tick.After(1, 1)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("Handler.After+Step allocates %.2f/op, want 0", n)
+	}
+}

@@ -52,6 +52,9 @@ type Bus struct {
 	observe func(Tx)
 	monitor func(queued, outstanding int)
 
+	observeAt *engine.Handler[Tx] // observation instants, then a pump
+	pumpEv    engine.Event
+
 	nextID      uint64
 	nextGrant   engine.Time
 	outstanding int
@@ -81,7 +84,10 @@ func NewBus(eng *engine.Engine, cfg BusConfig, observe func(Tx)) *Bus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Bus{eng: eng, cfg: cfg, observe: observe}
+	b := &Bus{eng: eng, cfg: cfg, observe: observe}
+	b.observeAt = engine.NewHandler(eng, b.observed)
+	b.pumpEv = func(engine.Time) { b.pump() }
+	return b
 }
 
 // Outstanding reports granted-but-incomplete transactions.
@@ -125,18 +131,22 @@ func (b *Bus) pump() {
 		grantAt = now
 	}
 	tx := b.waiting[0]
-	b.waiting = b.waiting[1:]
+	n := copy(b.waiting, b.waiting[1:]) // keep the queue's capacity
+	b.waiting = b.waiting[:n]
 	b.outstanding++
 	b.nextGrant = grantAt + b.cfg.GrantInterval
 	b.Transactions++
 	b.sample()
-	b.eng.At(grantAt+b.cfg.Latency, func(engine.Time) {
-		b.observe(tx)
-		// Grant the next waiter (bandwidth period may have passed).
-		b.pump()
-	})
+	b.observeAt.At(grantAt+b.cfg.Latency, tx)
 	// Chain further grants within bandwidth limits.
 	if len(b.waiting) > 0 && b.outstanding < b.cfg.MaxOutstanding {
-		b.eng.At(b.nextGrant, func(engine.Time) { b.pump() })
+		b.eng.At(b.nextGrant, b.pumpEv)
 	}
+}
+
+// observed runs at tx's observation instant.
+func (b *Bus) observed(tx Tx) {
+	b.observe(tx)
+	// Grant the next waiter (bandwidth period may have passed).
+	b.pump()
 }

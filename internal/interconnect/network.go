@@ -47,9 +47,9 @@ func (c NetConfig) Validate() error {
 // serialize; distinct sources transfer concurrently. Delivery invokes the
 // deliver callback at arrival time.
 type Network struct {
-	eng     *engine.Engine
-	cfg     NetConfig
-	deliver func(Msg)
+	eng       *engine.Engine
+	cfg       NetConfig
+	deliverAt *engine.Handler[Msg]
 
 	portFree map[mem.NodeID]engine.Time
 
@@ -70,7 +70,7 @@ func NewNetwork(eng *engine.Engine, cfg NetConfig, deliver func(Msg)) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Network{eng: eng, cfg: cfg, deliver: deliver, portFree: make(map[mem.NodeID]engine.Time)}
+	return &Network{eng: eng, cfg: cfg, deliverAt: engine.NewHandler(eng, deliver), portFree: make(map[mem.NodeID]engine.Time)}
 }
 
 // SetPerturb installs a per-message delivery-delay function used by the
@@ -111,6 +111,6 @@ func (n *Network) Send(m Msg) engine.Time {
 		}
 		n.lastArrive[m.From] = arrive
 	}
-	n.eng.At(arrive, func(engine.Time) { n.deliver(m) })
+	n.deliverAt.At(arrive, m)
 	return depart
 }

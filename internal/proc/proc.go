@@ -56,9 +56,20 @@ type CPU struct {
 	halted bool
 	rng    uint64
 
-	// Pending-operation bookkeeping, read only by Stall when a run dies
-	// of deadlock: what the CPU is blocked on and since when.
-	waiting   string // "", or a description of the blocking operation
+	// Callbacks bound once, so scheduling a cycle or completing a memory
+	// op allocates nothing.
+	stepEv      engine.Event
+	memDoneFn   func(mem.Result)
+	barrierDone func()
+
+	// The memory op in flight; a CPU has at most one.
+	memIn isa.Instr
+
+	// What the CPU is blocked on, formatted only by Stall: the op and its
+	// address or barrier episode, and the cycle it was issued.
+	waiting   bool
+	waitOp    isa.Op
+	waitArg   uint64
 	waitSince engine.Time
 
 	// Statistics.
@@ -76,7 +87,11 @@ func New(id, nprocs int, cfg Config, prog *isa.Program, eng *engine.Engine, port
 		cfg.IssueWidth = 1
 	}
 	seed := cfg.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1
-	return &CPU{id: id, nprocs: nprocs, cfg: cfg, prog: prog, eng: eng, port: port, plat: plat, rng: seed}
+	c := &CPU{id: id, nprocs: nprocs, cfg: cfg, prog: prog, eng: eng, port: port, plat: plat, rng: seed}
+	c.stepEv = c.step
+	c.memDoneFn = c.memDone
+	c.barrierDone = c.barrierRelease
+	return c
 }
 
 // ID returns the processor number.
@@ -117,18 +132,24 @@ type Stall struct {
 // Stall snapshots the CPU's blocking state (deadlock diagnosis; the
 // machine is quiescent when this is called).
 func (c *CPU) Stall() Stall {
-	return Stall{
-		CPU:     c.id,
-		PC:      c.pc,
-		Halted:  c.halted,
-		Waiting: c.waiting,
-		Since:   uint64(c.waitSince),
+	s := Stall{CPU: c.id, PC: c.pc, Halted: c.halted, Since: uint64(c.waitSince)}
+	switch {
+	case !c.waiting:
+	case c.waitOp == isa.OpBar:
+		s.Waiting = fmt.Sprintf("barrier %d", int64(c.waitArg))
+	default:
+		s.Waiting = fmt.Sprintf("%s %#x", c.waitOp, c.waitArg)
 	}
+	return s
+}
+
+func (c *CPU) block(op isa.Op, arg uint64, now engine.Time) {
+	c.waiting, c.waitOp, c.waitArg, c.waitSince = true, op, arg, now
 }
 
 // Start schedules the first cycle.
 func (c *CPU) Start() {
-	c.eng.After(0, c.step)
+	c.eng.After(0, c.stepEv)
 }
 
 func (c *CPU) nextRand(bound int64) uint64 {
@@ -164,23 +185,20 @@ func (c *CPU) step(now engine.Time) {
 			c.Instructions++
 			c.WorkCycles += uint64(in.Imm)
 			c.pc++
-			c.eng.At(now+engine.Time(in.Imm)+1, c.step)
+			c.eng.At(now+engine.Time(in.Imm)+1, c.stepEv)
 			return
 		case isa.OpWorkr:
 			c.Instructions++
 			d := c.regs[in.Rs]
 			c.WorkCycles += d
 			c.pc++
-			c.eng.At(now+engine.Time(d)+1, c.step)
+			c.eng.At(now+engine.Time(d)+1, c.stepEv)
 			return
 		case isa.OpBar:
 			c.Instructions++
 			c.pc++
-			c.waiting, c.waitSince = fmt.Sprintf("barrier %d", in.Imm), now
-			c.plat.Barrier(in.Imm, c.id, func() {
-				c.waiting = ""
-				c.eng.After(1, c.step)
-			})
+			c.block(isa.OpBar, uint64(in.Imm), now)
+			c.plat.Barrier(in.Imm, c.id, c.barrierDone)
 			return
 		case isa.OpHalt:
 			c.Instructions++
@@ -192,7 +210,7 @@ func (c *CPU) step(now engine.Time) {
 			c.execALU(in)
 		}
 	}
-	c.eng.At(now+1, c.step)
+	c.eng.At(now+1, c.stepEv)
 }
 
 func (c *CPU) execALU(in isa.Instr) {
@@ -317,32 +335,36 @@ func (c *CPU) issueMem(in isa.Instr, now engine.Time) {
 	}
 	pc := c.pc
 	c.pc++
-	c.waiting, c.waitSince = fmt.Sprintf("%s %#x", in.Op, uint64(addr)), now
-	c.port.Access(mem.Request{
-		Kind:  kind,
-		Addr:  addr,
-		Value: value,
-		PC:    pc,
-		Done: func(res mem.Result) {
-			c.waiting = ""
-			done := c.eng.Now()
-			c.MemCycles += uint64(done - now)
-			if res.TearOff {
-				c.SpinResults++
-			}
-			switch in.Op {
-			case isa.OpLw, isa.OpLl, isa.OpEnqolb:
-				c.write(in.Rd, res.Value)
-			case isa.OpSc:
-				if res.OK {
-					c.write(in.Rt, 1)
-				} else {
-					c.write(in.Rt, 0)
-				}
-			case isa.OpSwap:
-				c.write(in.Rt, res.Value)
-			}
-			c.eng.After(1, c.step)
-		},
-	})
+	c.memIn = in
+	c.block(in.Op, uint64(addr), now)
+	c.port.Access(mem.Request{Kind: kind, Addr: addr, Value: value, PC: pc, Done: c.memDoneFn})
+}
+
+// memDone completes the memory op in flight.
+func (c *CPU) memDone(res mem.Result) {
+	c.waiting = false
+	in := c.memIn
+	c.MemCycles += uint64(c.eng.Now() - c.waitSince)
+	if res.TearOff {
+		c.SpinResults++
+	}
+	switch in.Op {
+	case isa.OpLw, isa.OpLl, isa.OpEnqolb:
+		c.write(in.Rd, res.Value)
+	case isa.OpSc:
+		if res.OK {
+			c.write(in.Rt, 1)
+		} else {
+			c.write(in.Rt, 0)
+		}
+	case isa.OpSwap:
+		c.write(in.Rt, res.Value)
+	}
+	c.eng.After(1, c.stepEv)
+}
+
+// barrierRelease resumes the CPU after the barrier it is parked at.
+func (c *CPU) barrierRelease() {
+	c.waiting = false
+	c.eng.After(1, c.stepEv)
 }

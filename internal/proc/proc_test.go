@@ -274,3 +274,45 @@ func TestInstructionCounting(t *testing.T) {
 		t.Fatalf("Instructions = %d, want 4", cpu.Instructions)
 	}
 }
+
+// holdPort keeps every request outstanding until the test completes it.
+type holdPort struct{ held []mem.Request }
+
+func (h *holdPort) Access(req mem.Request) { h.held = append(h.held, req) }
+
+// TestStallNamesBlockingOp pins the deadlock-dump text for a blocked
+// memory op ("<op> <addr>") and a parked barrier ("barrier <episode>").
+func TestStallNamesBlockingOp(t *testing.T) {
+	eng := engine.New()
+	port := &holdPort{}
+	plat := &fakePlat{procs: 2} // the barrier never fills
+	src := `
+	  li   a0, 64
+	  li   t0, 1
+	  work 5
+	  sc   t0, 0(a0)
+	  bar  7
+	  halt
+	`
+	cpu := New(0, 1, Config{IssueWidth: 1}, isa.MustAssemble(src), eng, port, plat)
+	cpu.Start()
+	eng.Run(0)
+	if len(port.held) != 1 {
+		t.Fatalf("%d requests outstanding, want 1", len(port.held))
+	}
+	issued := eng.Now()
+	want := Stall{CPU: 0, PC: 4, Waiting: "sc 0x40", Since: uint64(issued)}
+	if got := cpu.Stall(); got != want {
+		t.Fatalf("Stall() = %+v, want %+v", got, want)
+	}
+
+	eng.After(3, func(engine.Time) { port.held[0].Done(mem.Result{OK: true}) })
+	eng.Run(0)
+	want = Stall{CPU: 0, PC: 5, Waiting: "barrier 7", Since: uint64(issued) + 4}
+	if got := cpu.Stall(); got != want {
+		t.Fatalf("Stall() = %+v, want %+v", got, want)
+	}
+	if cpu.Reg(isa.T0) != 1 || cpu.MemCycles != 3 {
+		t.Fatalf("after sc: t0 = %d, MemCycles = %d; want 1, 3", cpu.Reg(isa.T0), cpu.MemCycles)
+	}
+}

@@ -12,3 +12,4 @@ func BenchmarkServerRoundtrip(b *testing.B) { ServerRoundtrip(b) }
 func BenchmarkServerRoundtripPipelined(b *testing.B) {
 	ServerRoundtripPipelined(b)
 }
+func BenchmarkSimulatorHotlockTTS(b *testing.B) { SimulatorHotlockTTS(b) }

@@ -1,8 +1,9 @@
-// Package wirebench holds the serving hot path's microbenchmark bodies.
-// They live outside _test files so two callers can share them: the
-// conventional `go test -bench` wrappers in this package, and
-// cmd/benchguard, which runs them via testing.Benchmark and gates CI on
-// regressions against the committed BENCH_wire.json baseline.
+// Package wirebench holds the microbenchmark bodies of the serving hot
+// path and of the simulator's event loop. They live outside _test files
+// so two callers can share them: the conventional `go test -bench`
+// wrappers in this package, and cmd/benchguard, which runs them via
+// testing.Benchmark and gates CI on regressions against the committed
+// BENCH_wire.json baseline.
 //
 // Absolute ns/op is machine-dependent, so the guard compares each
 // benchmark's ratio to the Calibrate reference — a fixed CPU-bound loop
@@ -19,7 +20,10 @@ import (
 	"testing"
 	"time"
 
+	"iqolb/internal/experiments"
+	"iqolb/internal/machine"
 	"iqolb/internal/service"
+	"iqolb/internal/workload"
 )
 
 // Case is one guarded benchmark. SlackFactor scales the guard's base
@@ -39,6 +43,7 @@ func All() []Case {
 		{Name: "WireDecode", Fn: Decode, SlackFactor: 1},
 		{Name: "ServerRoundtrip", Fn: ServerRoundtrip, SlackFactor: 3},
 		{Name: "ServerRoundtripPipelined", Fn: ServerRoundtripPipelined, SlackFactor: 3},
+		{Name: "SimulatorHotlockTTS", Fn: SimulatorHotlockTTS, SlackFactor: 2},
 	}
 }
 
@@ -213,4 +218,42 @@ func ServerRoundtripPipelined(b *testing.B) {
 			}
 		}
 	})
+}
+
+// SimulatorHotlockTTS measures the simulator's event loop: one op is one
+// machine.Run of the contended hotlock kernel under TTS on 8 processors
+// (scale 4, about 114k events). Workload generation and machine
+// construction run with the timer stopped, so ns/op and allocs/op are
+// the event loop's alone.
+func SimulatorHotlockTTS(b *testing.B) {
+	const procs = 8
+	spec, err := workload.ByName("hotlock")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := experiments.Scale(spec.Params, 4, procs)
+	sys := experiments.SysTTS
+	var events uint64
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		bld, err := workload.Generate(p, sys.Primitive, procs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := machine.New(sys.MachineConfig(procs), bld.Program, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range bld.Locks {
+			m.RegisterLockAddr(l)
+		}
+		b.StartTimer()
+		_, err = m.Run()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += m.Engine().Fired()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

@@ -86,6 +86,7 @@ func TestRegistry(t *testing.T) {
 func TestRegisterCustomKind(t *testing.T) {
 	const kind = Kind("test-custom")
 	Register(kind, func(opts ...Option) Lock { return NewTTS(opts...) })
+	t.Cleanup(func() { unregister(kind) })
 	l, err := New(kind)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +108,20 @@ func TestRegisterCustomKind(t *testing.T) {
 		}
 	}()
 	Register(kind, func(opts ...Option) Lock { return NewTTS(opts...) })
+}
+
+// unregister removes a kind a test registered, so the registry is the
+// same for every run of the suite (-count, -cpu).
+func unregister(k Kind) {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	delete(registry.fac, k)
+	for i, o := range registry.order {
+		if o == k {
+			registry.order = append(registry.order[:i], registry.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // TestTuningOnline verifies that a Tuning store is observed by later
